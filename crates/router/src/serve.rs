@@ -12,19 +12,18 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vdb_server::client::{Client, ConnectOptions};
+use vdb_server::frontend::{ConnLimits, Frontend, Service, ShutdownTrigger, DEFAULT_POLL_INTERVAL};
 use vdb_server::metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
 use vdb_server::protocol::{
-    decode_stream_request, encode_response, encode_stream_request, is_stream_request, write_frame,
-    StreamRequest, DEFAULT_MAX_FRAME,
+    decode_stream_request, encode_stream_request, is_stream_request, StreamRequest,
+    DEFAULT_MAX_FRAME,
 };
-use vdb_server::server::{try_read_frame, FrameRead};
 
 use crate::catalog::RouterCatalog;
 use crate::exec::{call_shard, scatter, RouterObs, ScatterOptions, ShardOutcome};
@@ -61,8 +60,6 @@ pub struct RouterConfig {
     pub shard_socket_timeout: Duration,
     /// Reject client frames larger than this.
     pub max_frame: usize,
-    /// Socket poll granularity (shutdown/idle checks).
-    pub poll_interval: Duration,
     /// Close a client connection with no traffic for this long.
     pub idle_timeout: Duration,
     /// A started client frame must complete within this.
@@ -85,7 +82,6 @@ impl Default for RouterConfig {
             connect: ConnectOptions::retrying(Duration::from_millis(500), Duration::from_secs(2)),
             shard_socket_timeout: Duration::from_secs(10),
             max_frame: DEFAULT_MAX_FRAME,
-            poll_interval: Duration::from_millis(20),
             idle_timeout: Duration::from_secs(30),
             frame_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -142,17 +138,16 @@ impl ActiveRing {
     }
 }
 
-/// Everything a router worker needs to serve one request.
+/// Everything the router needs to serve one request.
 pub(crate) struct RouterCtx {
     pub pool: Arc<ShardPool>,
     pub obs: Arc<RouterObs>,
     pub catalog: Arc<RouterCatalog>,
-    pub ring: Arc<Mutex<ActiveRing>>,
+    pub ring: Mutex<ActiveRing>,
     pub metrics: Arc<ServerMetrics>,
-    pub shutdown: Arc<AtomicBool>,
+    pub shutdown: ShutdownTrigger,
     pub config: RouterConfig,
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
-    next_sid: Arc<AtomicU32>,
+    next_sid: AtomicU32,
 }
 
 impl RouterCtx {
@@ -168,10 +163,51 @@ impl RouterCtx {
     }
 }
 
+/// Per-connection state is the connection's proxied streaming sessions,
+/// keyed by router session id; closing it aborts each one downstream so
+/// no shard keeps an admission slot for a client that vanished.
+impl Service for RouterCtx {
+    type Conn = HashMap<u32, ProxySession>;
+
+    fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
+    }
+
+    fn open(&self) -> Self::Conn {
+        HashMap::new()
+    }
+
+    fn handle(
+        &self,
+        proxies: &mut Self::Conn,
+        payload: &[u8],
+    ) -> (CommandKind, Result<String, String>) {
+        if is_stream_request(payload) {
+            return stream_proxy(self, proxies, payload);
+        }
+        match std::str::from_utf8(payload) {
+            Ok(line) => dispatch(self, line),
+            Err(_) => (
+                CommandKind::Other,
+                Err("request is not valid UTF-8".to_string()),
+            ),
+        }
+    }
+
+    fn close(&self, proxies: Self::Conn) {
+        for (_, mut p) in proxies {
+            let _ = p
+                .conn
+                .raw_request(&encode_stream_request(&StreamRequest::Abort {
+                    session: p.ds_session,
+                }));
+        }
+    }
+}
+
 /// A bound-but-not-yet-serving router.
 pub struct Router {
-    listener: TcpListener,
-    addr: SocketAddr,
+    frontend: Frontend,
     config: RouterConfig,
 }
 
@@ -185,28 +221,22 @@ impl Router {
                 "a router needs at least one --shard",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         Ok(Router {
-            listener,
-            addr,
+            frontend: Frontend::bind(&config.addr)?,
             config,
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.local_addr()
     }
 
     /// Start the acceptor and worker pool. Returns immediately.
     pub fn serve(self) -> RouterHandle {
-        let Router {
-            listener,
-            addr,
-            config,
-        } = self;
+        let Router { frontend, config } = self;
+        let addr = frontend.local_addr();
+        let shutdown = frontend.shutdown_trigger();
         let pool = Arc::new(ShardPool::new(
             config.shards.clone(),
             config.connect,
@@ -214,47 +244,33 @@ impl Router {
         ));
         let obs = Arc::new(RouterObs::new(pool.len()));
         let catalog = Arc::new(RouterCatalog::new());
-        let ring = Arc::new(Mutex::new(ActiveRing::rebuild(
+        let ring = Mutex::new(ActiveRing::rebuild(
             &pool,
             (0..pool.len()).collect(),
             config.vnodes,
             0,
-        )));
+        ));
         let metrics = Arc::new(ServerMetrics::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let poll = config.poll_interval;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vdb-router-accept".into())
-                    .spawn(move || accept_loop(listener, tx, shutdown, poll))
-                    .expect("spawn acceptor"),
-            );
-        }
-        let next_sid = Arc::new(AtomicU32::new(1));
-        for i in 0..config.workers.max(1) {
-            let ctx = RouterCtx {
-                pool: Arc::clone(&pool),
-                obs: Arc::clone(&obs),
-                catalog: Arc::clone(&catalog),
-                ring: Arc::clone(&ring),
-                metrics: Arc::clone(&metrics),
-                shutdown: Arc::clone(&shutdown),
-                config: config.clone(),
-                rx: Arc::clone(&rx),
-                next_sid: Arc::clone(&next_sid),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("vdb-router-worker-{i}"))
-                    .spawn(move || worker_loop(ctx))
-                    .expect("spawn worker"),
-            );
-        }
+        let limits = ConnLimits {
+            idle_timeout: config.idle_timeout,
+            frame_timeout: config.frame_timeout,
+            write_timeout: config.write_timeout,
+            max_frame: config.max_frame,
+            poll_interval: DEFAULT_POLL_INTERVAL,
+            drain_grace: config.drain_grace,
+        };
+        let workers = config.workers;
+        let ctx = Arc::new(RouterCtx {
+            pool,
+            obs: Arc::clone(&obs),
+            catalog: Arc::clone(&catalog),
+            ring,
+            metrics: Arc::clone(&metrics),
+            shutdown: shutdown.clone(),
+            config,
+            next_sid: AtomicU32::new(1),
+        });
+        let threads = frontend.serve("vdb-router", workers, limits, ctx);
         RouterHandle {
             addr,
             shutdown,
@@ -269,7 +285,7 @@ impl Router {
 /// A running router: its address, metrics, and shutdown controls.
 pub struct RouterHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownTrigger,
     metrics: Arc<ServerMetrics>,
     obs: Arc<RouterObs>,
     catalog: Arc<RouterCatalog>,
@@ -298,14 +314,14 @@ impl RouterHandle {
         &self.catalog
     }
 
-    /// The shared shutdown flag (for signal handlers).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// The router's shutdown trigger (for signal handlers).
+    pub fn shutdown_trigger(&self) -> ShutdownTrigger {
+        self.shutdown.clone()
     }
 
     /// Begin graceful shutdown: stop accepting, drain in-flight requests.
     pub fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.trigger();
     }
 
     /// Wait for the router to finish; returns the final metrics.
@@ -323,136 +339,13 @@ impl RouterHandle {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<TcpStream>,
-    shutdown: Arc<AtomicBool>,
-    poll: Duration,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("vdb-router: accept error: {e}");
-                std::thread::sleep(poll);
-            }
-        }
-    }
-    // Same late-backlog drain as vdbd: connections accepted by the OS
-    // before shutdown still get served.
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-}
-
-fn worker_loop(ctx: RouterCtx) {
-    loop {
-        let next = ctx.rx.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
-        match next {
-            Ok(stream) => handle_connection(stream, &ctx),
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => std::thread::sleep(ctx.config.poll_interval),
-        }
-    }
-}
-
 /// One proxied streaming-ingest session: the dedicated downstream
 /// connection and the shard-side session id.
-struct ProxySession {
+pub(crate) struct ProxySession {
     slot: usize,
     conn: Client,
     ds_session: u32,
     name: String,
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &RouterCtx) {
-    let cfg = &ctx.config;
-    if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    ctx.metrics.connection_opened();
-    let mut proxies: HashMap<u32, ProxySession> = HashMap::new();
-    let mut idle_deadline = Instant::now() + cfg.idle_timeout;
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if drain_deadline.is_none() && ctx.shutdown.load(Ordering::SeqCst) {
-            drain_deadline = Some(Instant::now() + cfg.drain_grace);
-        }
-        match try_read_frame(&mut stream, cfg.max_frame, cfg.frame_timeout) {
-            Ok(FrameRead::Idle) => {
-                let now = Instant::now();
-                if let Some(d) = drain_deadline {
-                    if now >= d {
-                        break;
-                    }
-                } else if now >= idle_deadline {
-                    break;
-                }
-            }
-            Ok(FrameRead::Eof) => break,
-            Ok(FrameRead::Frame(payload)) => {
-                idle_deadline = Instant::now() + cfg.idle_timeout;
-                let started = Instant::now();
-                let bytes_in = 4 + payload.len() as u64;
-                let (kind, result) = if is_stream_request(&payload) {
-                    stream_proxy(ctx, &mut proxies, &payload)
-                } else {
-                    match std::str::from_utf8(&payload) {
-                        Ok(line) => dispatch(ctx, line),
-                        Err(_) => (
-                            CommandKind::Other,
-                            Err("request is not valid UTF-8".to_string()),
-                        ),
-                    }
-                };
-                let (ok, text) = match result {
-                    Ok(text) => (true, text),
-                    Err(text) => (false, text),
-                };
-                let response = encode_response(ok, &text);
-                let bytes_out = 4 + response.len() as u64;
-                ctx.metrics
-                    .record_request(kind, ok, bytes_in, bytes_out, started.elapsed());
-                if write_frame(&mut stream, &response).is_err() || kind == CommandKind::Quit {
-                    break;
-                }
-            }
-            Err(e) => {
-                ctx.metrics.protocol_error();
-                if matches!(e, vdb_server::protocol::FrameError::TooLarge { .. }) {
-                    let _ = write_frame(&mut stream, &encode_response(false, &e.to_string()));
-                }
-                break;
-            }
-        }
-    }
-    // Torn-disconnect cleanup: abort every proxied session downstream so
-    // no shard keeps an admission slot for a client that vanished.
-    for (_, mut p) in proxies.drain() {
-        let _ = p
-            .conn
-            .raw_request(&encode_stream_request(&StreamRequest::Abort {
-                session: p.ds_session,
-            }));
-    }
-    ctx.metrics.connection_closed();
 }
 
 /// Execute one text command against the cluster.
@@ -474,7 +367,7 @@ fn dispatch(ctx: &RouterCtx, line: &str) -> (CommandKind, Result<String, String>
             return (CommandKind::Metrics, Ok(text));
         }
         "shutdown" => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.trigger();
             return (
                 CommandKind::Shutdown,
                 Ok("shutting down: draining connections".to_string()),

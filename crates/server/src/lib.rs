@@ -6,9 +6,13 @@
 //! * [`protocol`] — length-prefixed request/response frames with a
 //!   max-size limit and a one-byte status, plus the binary streaming
 //!   messages (open/frame/commit/abort) that share the same framing;
-//! * [`server`] — [`server::Server`]: acceptor + fixed worker pool over
-//!   blocking sockets, per-connection timeouts, malformed-frame isolation,
-//!   graceful drain on shutdown, optional journal-backed durability;
+//! * [`frontend`] — the network front end `vdbd` and `vdb-router` share:
+//!   acceptor + fixed worker pool over blocking sockets, per-connection
+//!   timeouts, malformed-frame isolation, graceful drain on shutdown,
+//!   behind the small [`frontend::Service`] trait;
+//! * [`server`] — [`server::Server`]: `vdbd`'s service (wire commands,
+//!   request tracing, slow-query log) and optional journal-backed
+//!   durability;
 //! * [`session`] — [`session::SessionTable`]: server-side streaming-ingest
 //!   sessions with credit-based flow control, admission control, idle
 //!   reaping, and per-session failure isolation;
@@ -32,6 +36,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+pub mod frontend;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -1,39 +1,17 @@
-//! The serving core: a fixed-size worker pool over blocking sockets.
-//!
-//! One acceptor thread hands connections to `workers` handler threads
-//! through a queue; each worker owns one connection at a time and runs its
-//! requests to completion (so the pool size bounds concurrent
-//! connections — excess connections queue until a worker frees up).
-//! Blocking reads use short socket timeouts as a poll interval, which is
-//! what makes idle timeouts and prompt graceful shutdown possible without
-//! an async runtime:
-//!
-//! * a connection silent longer than `idle_timeout` is closed;
-//! * a frame that starts but does not complete within `frame_timeout` is
-//!   treated as torn and costs the client its connection;
-//! * on shutdown (wire `shutdown` command, [`ServerHandle::trigger_shutdown`],
-//!   or a signal forwarded by `vdbd`) the acceptor stops accepting and
-//!   every worker *drains*: requests already sent by clients are still
-//!   read, executed, and answered for `drain_grace` before the connection
-//!   closes — no in-flight request loses its reply.
-//!
-//! Protocol violations (oversized length prefix, torn frame) close only
-//! the offending connection and are counted in [`ServerMetrics`]; they can
-//! never take down a worker.
+//! `vdbd`'s request handling: the [`Server`] daemon, its store, and the
+//! wire commands it executes. The network front end — acceptor, worker
+//! pool, connection loop, shutdown — is [`crate::frontend`]; this module
+//! plugs into it as a [`Service`].
 
+use crate::frontend::{ConnLimits, Frontend, Service, ShutdownTrigger, DEFAULT_POLL_INTERVAL};
 use crate::metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
-use crate::protocol::{
-    decode_stream_request, encode_response, is_stream_request, write_frame, FrameError,
-    StreamRequest, DEFAULT_MAX_FRAME,
-};
+use crate::protocol::{decode_stream_request, is_stream_request, StreamRequest, DEFAULT_MAX_FRAME};
 use crate::session::{SessionTable, StreamLimits, StreamStats};
 use parking_lot::RwLock;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vdb_core::analyzer::AnalyzerConfig;
@@ -99,7 +77,7 @@ impl Default for ServerConfig {
             frame_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             max_frame: DEFAULT_MAX_FRAME,
-            poll_interval: Duration::from_millis(20),
+            poll_interval: DEFAULT_POLL_INTERVAL,
             drain_grace: Duration::from_millis(250),
             metrics_log_interval: None,
             slow_query_log: None,
@@ -166,88 +144,9 @@ impl ServerStore {
     }
 }
 
-/// Bind with `SO_REUSEADDR` so a restarted daemon can reclaim its old
-/// port immediately instead of waiting out `TIME_WAIT` peers from its
-/// previous life — shards restarting on a fixed address under a router
-/// depend on this. Raw syscalls because std's `TcpListener::bind`
-/// offers no socket-option hook; non-Linux targets fall back to the
-/// plain bind.
-#[cfg(target_os = "linux")]
-fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
-    use std::net::ToSocketAddrs;
-    use std::os::fd::FromRawFd;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const AF_INET6: i32 = 10;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing");
-    for sa in addr.to_socket_addrs()? {
-        // Raw sockaddr_in / sockaddr_in6 bytes for this address family.
-        let (family, bytes): (i32, Vec<u8>) = match sa {
-            SocketAddr::V4(v4) => {
-                let mut b = vec![0u8; 16];
-                b[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-                b[2..4].copy_from_slice(&v4.port().to_be_bytes());
-                b[4..8].copy_from_slice(&v4.ip().octets());
-                (AF_INET, b)
-            }
-            SocketAddr::V6(v6) => {
-                let mut b = vec![0u8; 28];
-                b[0..2].copy_from_slice(&(AF_INET6 as u16).to_ne_bytes());
-                b[2..4].copy_from_slice(&v6.port().to_be_bytes());
-                b[4..8].copy_from_slice(&v6.flowinfo().to_be_bytes());
-                b[8..24].copy_from_slice(&v6.ip().octets());
-                b[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
-                (AF_INET6, b)
-            }
-        };
-        unsafe {
-            let fd = socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0);
-            if fd < 0 {
-                last = io::Error::last_os_error();
-                continue;
-            }
-            let one: i32 = 1;
-            if setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_REUSEADDR,
-                &one as *const i32 as *const u8,
-                4,
-            ) < 0
-                || bind(fd, bytes.as_ptr(), bytes.len() as u32) < 0
-                || listen(fd, 128) < 0
-            {
-                last = io::Error::last_os_error();
-                close(fd);
-                continue;
-            }
-            return Ok(TcpListener::from_raw_fd(fd));
-        }
-    }
-    Err(last)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
-    TcpListener::bind(addr)
-}
-
 /// A bound-but-not-yet-serving server.
 pub struct Server {
-    listener: TcpListener,
-    addr: SocketAddr,
+    frontend: Frontend,
     store: ServerStore,
     config: ServerConfig,
 }
@@ -256,12 +155,8 @@ impl Server {
     /// Bind the listening socket (so the ephemeral port is known before
     /// any thread starts).
     pub fn bind(store: ServerStore, config: ServerConfig) -> io::Result<Server> {
-        let listener = bind_reuseaddr(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
-            listener,
-            addr,
+            frontend: Frontend::bind(&config.addr)?,
             store,
             config,
         })
@@ -269,19 +164,19 @@ impl Server {
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.local_addr()
     }
 
     /// Start the acceptor, worker pool, and (if configured) the metrics
     /// logger. Returns immediately.
     pub fn serve(self) -> ServerHandle {
         let Server {
-            listener,
-            addr,
+            frontend,
             store,
             config,
         } = self;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let addr = frontend.local_addr();
+        let shutdown = frontend.shutdown_trigger();
         let metrics = Arc::new(ServerMetrics::new());
         let sessions = Arc::new(SessionTable::new(
             StreamLimits {
@@ -295,69 +190,49 @@ impl Server {
             store.clone(),
             Arc::clone(&metrics),
         ));
-        let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut threads = Vec::with_capacity(config.workers + 3);
-
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let poll = config.poll_interval;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vdbd-accept".into())
-                    .spawn(move || accept_loop(listener, tx, shutdown, poll))
-                    .expect("spawn acceptor"),
-            );
-        }
-        for i in 0..config.workers.max(1) {
-            let ctx = WorkerCtx {
-                rx: Arc::clone(&rx),
-                store: store.clone(),
-                metrics: Arc::clone(&metrics),
-                sessions: Arc::clone(&sessions),
-                shutdown: Arc::clone(&shutdown),
-                config: config.clone(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("vdbd-worker-{i}"))
-                    .spawn(move || worker_loop(ctx))
-                    .expect("spawn worker"),
-            );
-        }
+        let limits = ConnLimits {
+            idle_timeout: config.idle_timeout,
+            frame_timeout: config.frame_timeout,
+            write_timeout: config.write_timeout,
+            max_frame: config.max_frame,
+            poll_interval: config.poll_interval,
+            drain_grace: config.drain_grace,
+        };
+        let workers = config.workers;
+        let ctx = Arc::new(ServerCtx {
+            store: store.clone(),
+            metrics: Arc::clone(&metrics),
+            sessions: Arc::clone(&sessions),
+            shutdown: shutdown.clone(),
+            config,
+        });
+        let mut threads = frontend.serve("vdbd", workers, limits, Arc::clone(&ctx));
         {
             // The session reaper: aborts streams idle past their timeout
             // so abandoned sessions release admission slots.
             let sessions = Arc::clone(&sessions);
-            let shutdown = Arc::clone(&shutdown);
-            let poll = config.poll_interval.max(Duration::from_millis(20));
+            let shutdown = shutdown.clone();
+            let poll = ctx.config.poll_interval.max(Duration::from_millis(20));
             threads.push(
                 std::thread::Builder::new()
                     .name("vdbd-reaper".into())
                     .spawn(move || {
-                        while !shutdown.load(Ordering::SeqCst) {
-                            std::thread::sleep(poll);
+                        while !shutdown.wait(poll) {
                             sessions.reap_idle();
                         }
                     })
                     .expect("spawn session reaper"),
             );
         }
-        if let Some(interval) = config.metrics_log_interval {
+        if let Some(interval) = ctx.config.metrics_log_interval {
             let metrics = Arc::clone(&metrics);
-            let shutdown = Arc::clone(&shutdown);
-            let poll = config.poll_interval.max(Duration::from_millis(50));
+            let shutdown = shutdown.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name("vdbd-metrics".into())
                     .spawn(move || {
-                        let mut last = Instant::now();
-                        while !shutdown.load(Ordering::SeqCst) {
-                            std::thread::sleep(poll);
-                            if last.elapsed() >= interval {
-                                eprintln!("vdbd: {}", metrics.snapshot().one_line());
-                                last = Instant::now();
-                            }
+                        while !shutdown.wait(interval) {
+                            eprintln!("vdbd: {}", metrics.snapshot().one_line());
                         }
                     })
                     .expect("spawn metrics logger"),
@@ -378,7 +253,7 @@ impl Server {
 /// shutdown controls.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownTrigger,
     metrics: Arc<ServerMetrics>,
     sessions: Arc<SessionTable>,
     store: ServerStore,
@@ -407,21 +282,21 @@ impl ServerHandle {
         &self.store
     }
 
-    /// The shared shutdown flag — setting it is equivalent to
-    /// [`ServerHandle::trigger_shutdown`] (used by `vdbd`'s signal
-    /// handler).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// The server's shutdown trigger — firing it is equivalent to
+    /// [`ServerHandle::trigger_shutdown`] (`vdbd` hands it to
+    /// [`crate::frontend::trigger_on_signal`]).
+    pub fn shutdown_trigger(&self) -> ShutdownTrigger {
+        self.shutdown.clone()
     }
 
     /// Begin graceful shutdown: stop accepting, drain in-flight requests.
     pub fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.trigger();
     }
 
     /// Wait for the server to finish (after a wire `shutdown`, a
-    /// [`ServerHandle::trigger_shutdown`], or the signal flag), then sync
-    /// the journal. Returns the final metrics.
+    /// [`ServerHandle::trigger_shutdown`], or a signal), then sync the
+    /// journal. Returns the final metrics.
     pub fn join(self) -> Result<MetricsSnapshot, DbError> {
         for t in self.threads {
             let _ = t.join();
@@ -441,246 +316,80 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<TcpStream>,
-    shutdown: Arc<AtomicBool>,
-    poll: Duration,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("vdbd: accept error: {e}");
-                std::thread::sleep(poll);
-            }
-        }
-    }
-    // A client that finished its TCP handshake before shutdown may already
-    // have sent a request, even if we have not accept()ed it yet. Drain
-    // the backlog into the worker queue so those requests get their
-    // replies too; only then drop `tx` (disconnecting the queue).
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-}
-
-struct WorkerCtx {
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
+/// What a `vdbd` request executes against.
+struct ServerCtx {
     store: ServerStore,
     metrics: Arc<ServerMetrics>,
     sessions: Arc<SessionTable>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownTrigger,
     config: ServerConfig,
 }
 
-fn worker_loop(ctx: WorkerCtx) {
-    loop {
-        // Take the queue lock only to poll, never while handling a
-        // connection. recv_timeout would hold the lock and starve the
-        // other workers; try_recv + sleep keeps dispatch fair at
-        // poll-interval granularity.
-        let next = ctx.rx.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
-        match next {
-            Ok(stream) => handle_connection(stream, &ctx),
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => std::thread::sleep(ctx.config.poll_interval),
-        }
+/// Per-connection state is the session-table connection id: it scopes
+/// streaming-session ownership, and closing it aborts the connection's
+/// sessions (torn-disconnect cleanup).
+impl Service for ServerCtx {
+    type Conn = u64;
+
+    fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
     }
-}
 
-/// Outcome of one deadline-aware frame read (see [`try_read_frame`]).
-pub enum FrameRead {
-    /// A complete frame.
-    Frame(Vec<u8>),
-    /// No bytes arrived within one poll interval.
-    Idle,
-    /// Clean end-of-stream at a frame boundary.
-    Eof,
-}
+    fn open(&self) -> u64 {
+        self.sessions.register_conn()
+    }
 
-/// Read one frame with the stream's poll-interval read timeout. Returns
-/// `Idle` if no byte arrived; once a frame has started it must complete
-/// within `frame_timeout` or the frame counts as torn. Public so the
-/// router's front end can run the same connection loop as `vdbd`.
-pub fn try_read_frame(
-    stream: &mut TcpStream,
-    max: usize,
-    frame_timeout: Duration,
-) -> Result<FrameRead, FrameError> {
-    let mut header = [0u8; 4];
-    let mut deadline: Option<Instant> = None;
-    let mut fill = |buf: &mut [u8], deadline: &mut Option<Instant>| -> Result<bool, FrameError> {
-        let mut got = 0;
-        while got < buf.len() {
-            match stream.read(&mut buf[got..]) {
-                Ok(0) => {
-                    return if got == 0 && deadline.is_none() {
-                        Ok(false) // clean EOF before any frame byte
-                    } else {
-                        Err(FrameError::Torn)
-                    };
-                }
-                Ok(n) => {
-                    got += n;
-                    if deadline.is_none() {
-                        *deadline = Some(Instant::now() + frame_timeout);
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    match *deadline {
-                        None => return Ok(true), // still idle, caller re-polls
-                        Some(d) if Instant::now() >= d => return Err(FrameError::Torn),
-                        Some(_) => {}
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FrameError::Io(e)),
+    fn handle(&self, conn: &mut u64, payload: &[u8]) -> (CommandKind, Result<String, String>) {
+        let started = Instant::now();
+        // Every request gets a (head-sampled) trace of its own; the
+        // server.request span is the root the store and core spans hang
+        // off, and what the slow-query log renders.
+        let tracer = global_tracer();
+        let root = tracer.trace_root();
+        let mut rspan = tracer.span(&root, "server.request");
+        let tctx = rspan.context();
+        let (kind, result) = if is_stream_request(payload) {
+            stream_dispatch(self, *conn, payload)
+        } else {
+            match std::str::from_utf8(payload) {
+                Ok(line) => dispatch(self, line, &tctx),
+                Err(_) => (
+                    CommandKind::Other,
+                    Err("request is not valid UTF-8".to_string()),
+                ),
+            }
+        };
+        if rspan.is_recording() {
+            rspan.attr("cmd", kind.label());
+            rspan.attr("ok", result.is_ok());
+        }
+        drop(rspan);
+        if let Some(threshold) = self.config.slow_query_log {
+            let elapsed = started.elapsed();
+            if elapsed >= threshold {
+                self.metrics.slow_request();
+                eprintln!(
+                    "vdbd: slow request: {} took {}us (threshold {}us)\n{}",
+                    kind.label(),
+                    elapsed.as_micros(),
+                    threshold.as_micros(),
+                    shell::render_trace(&root)
+                );
             }
         }
-        Ok(true)
-    };
+        (kind, result)
+    }
 
-    if !fill(&mut header, &mut deadline)? {
-        return Ok(FrameRead::Eof);
+    fn close(&self, conn: u64) {
+        self.sessions.close_conn(conn);
     }
-    if deadline.is_none() {
-        return Ok(FrameRead::Idle);
-    }
-    let declared = u32::from_le_bytes(header);
-    if declared as usize > max {
-        return Err(FrameError::TooLarge { declared, max });
-    }
-    let mut payload = vec![0u8; declared as usize];
-    if !payload.is_empty() && !fill(&mut payload, &mut deadline)? {
-        return Err(FrameError::Torn);
-    }
-    Ok(FrameRead::Frame(payload))
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
-    let cfg = &ctx.config;
-    if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    ctx.metrics.connection_opened();
-    // Scopes streaming-session ownership; on any exit from this function
-    // the connection's sessions are aborted (torn-disconnect cleanup).
-    let conn_id = ctx.sessions.register_conn();
-    let mut idle_deadline = Instant::now() + cfg.idle_timeout;
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if drain_deadline.is_none() && ctx.shutdown.load(Ordering::SeqCst) {
-            drain_deadline = Some(Instant::now() + cfg.drain_grace);
-        }
-        match try_read_frame(&mut stream, cfg.max_frame, cfg.frame_timeout) {
-            Ok(FrameRead::Idle) => {
-                let now = Instant::now();
-                if let Some(d) = drain_deadline {
-                    if now >= d {
-                        break;
-                    }
-                } else if now >= idle_deadline {
-                    break;
-                }
-            }
-            Ok(FrameRead::Eof) => break,
-            Ok(FrameRead::Frame(payload)) => {
-                idle_deadline = Instant::now() + cfg.idle_timeout;
-                let started = Instant::now();
-                let bytes_in = 4 + payload.len() as u64;
-                // Every request gets a (head-sampled) trace of its own; the
-                // server.request span is the root the store and core spans
-                // hang off, and what the slow-query log renders.
-                let tracer = global_tracer();
-                let root = tracer.trace_root();
-                let mut rspan = tracer.span(&root, "server.request");
-                let tctx = rspan.context();
-                let (kind, result) = if is_stream_request(&payload) {
-                    stream_dispatch(ctx, conn_id, &payload)
-                } else {
-                    match std::str::from_utf8(&payload) {
-                        Ok(line) => dispatch(ctx, line, &tctx),
-                        Err(_) => (
-                            CommandKind::Other,
-                            Err("request is not valid UTF-8".to_string()),
-                        ),
-                    }
-                };
-                let (ok, text) = match result {
-                    Ok(text) => (true, text),
-                    Err(text) => (false, text),
-                };
-                if rspan.is_recording() {
-                    rspan.attr("cmd", kind.label());
-                    rspan.attr("ok", ok);
-                }
-                drop(rspan);
-                let response = encode_response(ok, &text);
-                let bytes_out = 4 + response.len() as u64;
-                let elapsed = started.elapsed();
-                // Count before replying, so a client that has its reply is
-                // guaranteed to be visible in the metrics.
-                ctx.metrics
-                    .record_request(kind, ok, bytes_in, bytes_out, elapsed);
-                if let Some(threshold) = cfg.slow_query_log {
-                    if elapsed >= threshold {
-                        ctx.metrics.slow_request();
-                        eprintln!(
-                            "vdbd: slow request: {} took {}us (threshold {}us)\n{}",
-                            kind.label(),
-                            elapsed.as_micros(),
-                            threshold.as_micros(),
-                            shell::render_trace(&root)
-                        );
-                    }
-                }
-                if write_frame(&mut stream, &response).is_err() || kind == CommandKind::Quit {
-                    break;
-                }
-            }
-            Err(e) => {
-                // Protocol violation or socket failure: this connection is
-                // done, the server is not. Oversized frames get a parting
-                // error response (the declared length was read cleanly);
-                // after a torn frame there is nothing sane to say.
-                ctx.metrics.protocol_error();
-                if matches!(e, FrameError::TooLarge { .. }) {
-                    let _ = write_frame(&mut stream, &encode_response(false, &e.to_string()));
-                }
-                break;
-            }
-        }
-    }
-    ctx.sessions.close_conn(conn_id);
-    ctx.metrics.connection_closed();
 }
 
 /// Execute one binary stream message against the session table. Session
 /// failures come back as `-` responses on this connection; they never
 /// close it and never touch other sessions.
 fn stream_dispatch(
-    ctx: &WorkerCtx,
+    ctx: &ServerCtx,
     conn: u64,
     payload: &[u8],
 ) -> (CommandKind, Result<String, String>) {
@@ -716,7 +425,7 @@ fn stream_dispatch(
 /// `tctx` (the per-request `server.request` span). The error side of the
 /// result becomes a `-` status response.
 fn dispatch(
-    ctx: &WorkerCtx,
+    ctx: &ServerCtx,
     line: &str,
     tctx: &TraceContext,
 ) -> (CommandKind, Result<String, String>) {
@@ -743,7 +452,7 @@ fn dispatch(
             return (CommandKind::Metrics, Ok(text));
         }
         "shutdown" => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.trigger();
             return (
                 CommandKind::Shutdown,
                 Ok("shutting down: draining connections".to_string()),
@@ -847,7 +556,7 @@ fn dispatch(
 /// tokens first, the name last (names may contain spaces); `dur=` is the
 /// full-precision bit pattern of the duration so a merged `list` renders
 /// byte-identically to a single node.
-fn xlist(ctx: &WorkerCtx) -> String {
+fn xlist(ctx: &ServerCtx) -> String {
     ctx.store.read(|db| {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -869,7 +578,7 @@ fn xlist(ctx: &WorkerCtx) -> String {
 /// a `mode=… kept=… k=… limit=…` header, then full-precision rows
 /// (`d=`/`ba=`/`oa=` are f64 bit patterns) the router re-merges with the
 /// exact `(distance, ShotKey)` tie-break the index uses.
-fn xquery(ctx: &WorkerCtx, text: &str) -> Result<String, String> {
+fn xquery(ctx: &ServerCtx, text: &str) -> Result<String, String> {
     let sharded = ctx
         .store
         .read(|db| db.query_str_sharded(text))
@@ -903,7 +612,7 @@ fn xquery(ctx: &WorkerCtx, text: &str) -> Result<String, String> {
 
 /// `export <id>`: the video's transfer record (analysis + catalog
 /// metadata, no pixels) as hex, for shard-to-shard rebalance moves.
-fn export(ctx: &WorkerCtx, rest: &str) -> Result<String, String> {
+fn export(ctx: &ServerCtx, rest: &str) -> Result<String, String> {
     let id: u64 = rest
         .trim()
         .parse()
@@ -926,7 +635,7 @@ fn export(ctx: &WorkerCtx, rest: &str) -> Result<String, String> {
 /// `import <hex>`: re-create an exported video through the streaming
 /// ingest commit path; the reply mirrors a stream commit
 /// (`video=… shots=… frames=… durable=…`).
-fn import(ctx: &WorkerCtx, rest: &str, tctx: &TraceContext) -> Result<String, String> {
+fn import(ctx: &ServerCtx, rest: &str, tctx: &TraceContext) -> Result<String, String> {
     let bytes = vdb_store::transfer::from_hex(rest).map_err(|e| e.to_string())?;
     let exported = vdb_store::transfer::ExportedVideo::decode(&bytes).map_err(|e| e.to_string())?;
     let shots = exported.analysis.shots.len();

@@ -462,8 +462,11 @@ impl SessionTable {
             .cloned()
             .collect();
         for sess in stale {
-            self.teardown(&sess);
+            // Count first: teardown unlists the session before it joins
+            // the pump, so an observer that sees the session gone must
+            // already see it counted.
             self.metrics.stream_reaped();
+            self.teardown(&sess);
         }
     }
 
