@@ -64,11 +64,9 @@ impl FrameBuf {
                 actual: data.len(),
             });
         }
-        let pixels = data
-            .chunks_exact(3)
-            .map(|c| Rgb([c[0], c[1], c[2]]))
-            .collect();
-        FrameBuf::from_pixels(width, height, pixels)
+        let mut frame = FrameBuf::black(width, height);
+        crate::pixel::rgb_as_bytes_mut(&mut frame.data).copy_from_slice(data);
+        Ok(frame)
     }
 
     /// Create a frame by evaluating `f(x, y)` at every pixel.
@@ -303,6 +301,7 @@ impl Video {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn filled_frame_has_uniform_pixels() {
@@ -419,6 +418,38 @@ mod tests {
             FrameBuf::from_rgb24(5, 4, &bytes[..bytes.len() - 1]),
             Err(CoreError::FrameDataMismatch { .. })
         ));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_rgb24_roundtrip_any_dims(
+            width in 1u32..40,
+            height in 1u32..40,
+            seed in any::<u8>(),
+            cut in 1usize..4,
+        ) {
+            let frame = FrameBuf::from_fn(width, height, |x, y| {
+                Rgb([
+                    (x as u8).wrapping_mul(31).wrapping_add(seed),
+                    (y as u8).wrapping_mul(17) ^ seed,
+                    (x ^ y) as u8,
+                ])
+            });
+            let bytes = frame.to_rgb24();
+            prop_assert_eq!(
+                FrameBuf::from_rgb24(width, height, &bytes).unwrap(),
+                frame
+            );
+            // A byte count off by a partial or whole pixel, short or long.
+            let mut long = bytes.clone();
+            long.resize(bytes.len() + cut, 0);
+            for wrong in [&bytes[..bytes.len() - cut.min(bytes.len())], &long[..]] {
+                prop_assert!(matches!(
+                    FrameBuf::from_rgb24(width, height, wrong),
+                    Err(CoreError::FrameDataMismatch { .. })
+                ));
+            }
+        }
     }
 
     #[test]

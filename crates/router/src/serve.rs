@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vdb_server::client::{Client, ConnectOptions};
+use vdb_server::client::{Client, ClientError, ConnectOptions};
 use vdb_server::frontend::{ConnLimits, Frontend, Service, ShutdownTrigger, DEFAULT_POLL_INTERVAL};
 use vdb_server::metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
 use vdb_server::protocol::{
@@ -710,12 +710,12 @@ fn stream_proxy(
             let result = match proxies.get_mut(&session) {
                 None => Err(format!("no open stream session {session}")),
                 Some(p) => {
-                    let relay = encode_stream_request(&StreamRequest::Frame {
-                        session: p.ds_session,
-                        seq,
-                        data,
-                    });
-                    match p.conn.raw_request(&relay) {
+                    let relayed = p
+                        .conn
+                        .send_frame(p.ds_session, seq, data)
+                        .map_err(ClientError::from)
+                        .and_then(|()| p.conn.read_response());
+                    match relayed {
                         Ok(resp) if resp.ok => Ok(resp.text),
                         Ok(resp) => {
                             // The shard poisoned the session; mirror that

@@ -6,13 +6,14 @@
 //! and the `loadgen` benchmark driver.
 
 use crate::protocol::{
-    decode_response, encode_stream_request, read_frame, write_frame, FrameError, Response,
-    StreamRequest, DEFAULT_MAX_FRAME,
+    decode_response, encode_stream_request, frame_message_header, read_frame, write_frame,
+    write_frame_parts, FrameError, Response, StreamRequest, DEFAULT_MAX_FRAME,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use vdb_core::frame::FrameBuf;
+use vdb_core::pixel::rgb_as_bytes;
 
 /// Why a request failed.
 #[derive(Debug)]
@@ -174,14 +175,24 @@ impl Client {
 
     /// Send one pre-encoded request payload (text or binary stream
     /// message) and wait for its response. The router uses this to relay
-    /// a client's stream frames downstream without re-encoding them.
+    /// a client's stream open, commit and abort messages downstream.
     pub fn raw_request(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, payload)?;
         self.read_response()
     }
 
+    /// Send one stream `FRAME` message from its parts — the session, the
+    /// sequence number and the borrowed RGB24 bytes — in one vectored
+    /// write, without copying `data` into a payload buffer. Does not wait
+    /// for the ack: read it with [`Client::read_response`]. Client pushes
+    /// and the router's frame relay both go through here.
+    pub fn send_frame(&mut self, session: u32, seq: u32, data: &[u8]) -> io::Result<()> {
+        let header = frame_message_header(session, seq);
+        write_frame_parts(&mut self.stream, &[&header, data])
+    }
+
     /// Read the next response frame off the socket.
-    fn read_response(&mut self) -> Result<Response, ClientError> {
+    pub fn read_response(&mut self) -> Result<Response, ClientError> {
         match read_frame(&mut self.stream, self.max_frame)? {
             Some(payload) => Ok(decode_response(&payload)?),
             None => Err(ClientError::ServerClosed),
@@ -311,9 +322,18 @@ impl FrameStream<'_> {
         self.next_seq
     }
 
-    /// Push one frame (converted to raw RGB24 on the wire).
+    /// Push one frame; its pixels go on the wire as raw RGB24 straight
+    /// from the frame's buffer. A frame whose dimensions differ from the
+    /// declared ones is rejected here, before anything is sent, even when
+    /// its byte count matches (a transposed frame would otherwise be
+    /// analyzed as the wrong image); the session stays usable.
     pub fn push(&mut self, frame: &FrameBuf) -> Result<(), ClientError> {
-        self.push_rgb24(&frame.to_rgb24())
+        if frame.dims() != (self.width, self.height) {
+            return Err(ClientError::Protocol(FrameError::Malformed(
+                "frame dimensions do not match the declared ones",
+            )));
+        }
+        self.push_rgb24(rgb_as_bytes(frame.pixels()))
     }
 
     /// Push one raw RGB24 frame (`width*height*3` bytes).
@@ -326,14 +346,7 @@ impl FrameStream<'_> {
         if self.inflight >= self.window {
             self.await_ack()?;
         }
-        write_frame(
-            &mut self.client.stream,
-            &encode_stream_request(&StreamRequest::Frame {
-                session: self.session,
-                seq: self.next_seq,
-                data,
-            }),
-        )?;
+        self.client.send_frame(self.session, self.next_seq, data)?;
         self.next_seq += 1;
         self.inflight += 1;
         Ok(())

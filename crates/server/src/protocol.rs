@@ -41,7 +41,7 @@
 //! ordinary `-` responses that *poison the session*, not the connection —
 //! the same TCP connection can keep serving commands and other sessions.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Default upper bound on a frame payload (1 MiB). Command lines and
 /// rendered scene trees are orders of magnitude smaller; anything bigger
@@ -122,10 +122,7 @@ pub fn encode_stream_request(req: &StreamRequest<'_>) -> Vec<u8> {
         StreamRequest::Abort { session } => (OP_ABORT, *session, 0, 0),
     };
     let mut out = Vec::with_capacity(STREAM_HEADER + body_len);
-    out.push(STREAM_MAGIC);
-    out.push(op);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&stream_header(op, session, seq));
     match req {
         StreamRequest::Open {
             name,
@@ -142,6 +139,24 @@ pub fn encode_stream_request(req: &StreamRequest<'_>) -> Vec<u8> {
         StreamRequest::Commit { .. } | StreamRequest::Abort { .. } => {}
     }
     out
+}
+
+/// The fixed header of a stream message: magic, op, session, seq.
+fn stream_header(op: u8, session: u32, seq: u32) -> [u8; STREAM_HEADER] {
+    let mut header = [0u8; STREAM_HEADER];
+    header[0] = STREAM_MAGIC;
+    header[1] = op;
+    header[2..6].copy_from_slice(&session.to_le_bytes());
+    header[6..10].copy_from_slice(&seq.to_le_bytes());
+    header
+}
+
+/// The header of a `FRAME` message; the message payload is this header
+/// followed by the frame's RGB24 bytes. Lets a sender write a frame with
+/// [`write_frame_parts`] without first copying the pixels into one
+/// payload buffer.
+pub fn frame_message_header(session: u32, seq: u32) -> [u8; STREAM_HEADER] {
+    stream_header(OP_FRAME, session, seq)
 }
 
 /// Decode a stream request from a frame payload (which must start with
@@ -235,8 +250,43 @@ impl From<io::Error> for FrameError {
 
 /// Write one frame (length prefix + payload).
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    write_frame_parts(w, &[payload])
+}
+
+/// Write one frame whose payload is the concatenation of `parts`, without
+/// joining them first: the length prefix and every part go out through
+/// `write_vectored`, so a whole message usually costs one system call.
+/// Partial writes and `Interrupted` are retried as `write_all` does.
+pub fn write_frame_parts<W: Write>(w: &mut W, parts: &[&[u8]]) -> io::Result<()> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let prefix = (len as u32).to_le_bytes();
+    let mut rest: Vec<&[u8]> = Vec::with_capacity(1 + parts.len());
+    rest.push(&prefix);
+    rest.extend_from_slice(parts);
+    // `rest[done..]` is what is left to write.
+    let mut done = 0;
+    while done < rest.len() {
+        let slices: Vec<IoSlice<'_>> = rest[done..].iter().map(|b| IoSlice::new(b)).collect();
+        match w.write_vectored(&slices) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(mut n) => {
+                while done < rest.len() && n >= rest[done].len() {
+                    n -= rest[done].len();
+                    done += 1;
+                }
+                if n > 0 {
+                    rest[done] = &rest[done][n..];
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -315,6 +365,105 @@ mod tests {
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"stats");
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 64).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A writer that counts calls and, when `max` is set, accepts at most
+    /// `max` bytes per call and fails every other call with `Interrupted`.
+    #[derive(Default)]
+    struct MockWriter {
+        out: Vec<u8>,
+        max: Option<usize>,
+        writes: usize,
+        vectored: usize,
+    }
+
+    impl Write for MockWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.accept(&[IoSlice::new(buf)], self.writes)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored += 1;
+            self.accept(bufs, self.vectored)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl MockWriter {
+        fn trickle(max: usize) -> Self {
+            MockWriter {
+                max: Some(max),
+                ..MockWriter::default()
+            }
+        }
+
+        fn accept(&mut self, bufs: &[IoSlice<'_>], call: usize) -> io::Result<usize> {
+            let Some(max) = self.max else {
+                let n = bufs.iter().map(|b| b.len()).sum();
+                bufs.iter().for_each(|b| self.out.extend_from_slice(b));
+                return Ok(n);
+            };
+            if call % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(max - n);
+                self.out.extend_from_slice(&b[..take]);
+                n += take;
+                if n == max {
+                    break;
+                }
+            }
+            Ok(n)
+        }
+    }
+
+    /// The bytes a frame has always had on the wire: the LE length, then
+    /// the payload.
+    fn reference_frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn a_frame_message_is_one_vectored_write() {
+        let data = vec![9u8; 160 * 120 * 3];
+        let mut w = MockWriter::default();
+        write_frame_parts(&mut w, &[&frame_message_header(4, 5), &data]).unwrap();
+        assert_eq!((w.vectored, w.writes), (1, 0));
+        let mut w = MockWriter::default();
+        write_frame(&mut w, b"stats").unwrap();
+        assert_eq!((w.vectored, w.writes), (1, 0));
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_keep_the_wire_bytes() {
+        let pixels: Vec<u8> = (0..4 * 3 * 3).map(|i| (i * 7) as u8).collect();
+        for payload in [&b""[..], b"q", b"query ba=10 oa=50 limit=3"] {
+            let mut w = MockWriter::trickle(3);
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.out, reference_frame(payload));
+        }
+        for (session, seq) in [(1, 0), (7, 41), (u32::MAX, u32::MAX)] {
+            let encoded = encode_stream_request(&StreamRequest::Frame {
+                session,
+                seq,
+                data: &pixels,
+            });
+            let mut w = MockWriter::trickle(3);
+            write_frame_parts(&mut w, &[&frame_message_header(session, seq), &pixels]).unwrap();
+            assert_eq!(w.out, reference_frame(&encoded));
+        }
+        // A writer that takes nothing is an error, not a spin.
+        let mut w = MockWriter::trickle(0);
+        let err = write_frame(&mut w, b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -37,7 +37,10 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Reject request frames larger than this.
     pub max_frame: usize,
-    /// Socket poll granularity (shutdown/idle checks happen this often).
+    /// How often connections check for idleness and, after shutdown, for
+    /// the end of the drain, and how often the session reaper runs. Nothing
+    /// on a request's path waits on it: streaming credit waits are woken by
+    /// the session's pump.
     pub poll_interval: Duration,
     /// After shutdown, keep reading already-sent requests for this long.
     pub drain_grace: Duration,
@@ -184,7 +187,6 @@ impl Server {
                 credit_window: config.stream_credits.max(1),
                 idle_timeout: config.session_idle_timeout,
                 stall_timeout: config.stream_stall_timeout,
-                poll_interval: config.poll_interval,
                 max_frame: config.max_frame,
             },
             store.clone(),

@@ -9,7 +9,10 @@
 //! `credit_window` in-flight frames at open, acks each frame only after it
 //! is buffered, and holds (blocking the sending connection) rather than
 //! buffer past the window — so a slow disk or an expensive analysis stage
-//! pushes back on the client instead of growing an unbounded queue.
+//! pushes back on the client instead of growing an unbounded queue. A held
+//! frame waits on the session's drain signal, which the pump raises each
+//! time it frees a slot and once when it exits, so the frame is buffered
+//! as soon as there is room rather than on a polling tick.
 //!
 //! Lifecycle and failure handling:
 //!
@@ -37,8 +40,8 @@ use crate::metrics::ServerMetrics;
 use crate::server::ServerStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vdb_core::frame::FrameBuf;
@@ -56,8 +59,6 @@ pub struct StreamLimits {
     pub idle_timeout: Duration,
     /// Give up enqueueing a frame if the pump stays saturated this long.
     pub stall_timeout: Duration,
-    /// Retry granularity for a saturated pump queue.
-    pub poll_interval: Duration,
     /// The wire frame cap — opens whose frames could not fit are rejected.
     pub max_frame: usize,
 }
@@ -86,6 +87,11 @@ struct StreamSession {
     next_seq: AtomicU32,
     /// Frames buffered (enqueued, not yet analyzed).
     queued: AtomicU32,
+    /// `true` once the pump has exited. Its lock pairs with `drained`.
+    pump_exited: Mutex<bool>,
+    /// Raised by the pump after every `queued` decrement and once when it
+    /// exits; a frame held for credit waits on it.
+    drained: Condvar,
     /// Last traffic, in ms since the table's epoch (for the reaper).
     last_active_ms: AtomicU64,
     /// Set on abort so the pump drains without analyzing.
@@ -109,6 +115,26 @@ impl StreamSession {
     fn touch(&self, epoch: Instant) {
         self.last_active_ms
             .store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
+    }
+
+    /// Pump side: one buffered frame has left the window. Notifying under
+    /// the lock means a worker that saw the window full is either already
+    /// waiting (and is woken) or has not yet re-checked (and sees room).
+    fn release_credit(&self) {
+        self.queued.fetch_sub(1, Ordering::AcqRel);
+        let _guard = self.pump_exited.lock().unwrap_or_else(|e| e.into_inner());
+        self.drained.notify_all();
+    }
+}
+
+/// Marks the pump as exited and wakes a frame waiting for credit, when
+/// the pump returns or unwinds.
+struct PumpExit<'a>(&'a StreamSession);
+
+impl Drop for PumpExit<'_> {
+    fn drop(&mut self) {
+        *self.0.pump_exited.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.0.drained.notify_all();
     }
 }
 
@@ -230,8 +256,8 @@ impl SessionTable {
             ));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Frames (<= window) plus the commit message always fit, so the
-        // worker's try_send only stalls if accounting is violated.
+        // Frames (<= window) plus the commit message always fit: once the
+        // credit wait in `frame` passes, the send has room.
         let (tx, rx) = mpsc::sync_channel::<PumpMsg>(window as usize + 1);
         let sess = Arc::new(StreamSession {
             id,
@@ -240,6 +266,8 @@ impl SessionTable {
             window,
             next_seq: AtomicU32::new(0),
             queued: AtomicU32::new(0),
+            pump_exited: Mutex::new(false),
+            drained: Condvar::new(),
             last_active_ms: AtomicU64::new(0),
             aborting: AtomicBool::new(false),
             poisoned: Mutex::new(None),
@@ -309,12 +337,16 @@ impl SessionTable {
         // `queued` is still at the window. Backpressure here is blocking,
         // not fatal: hold the frame until the pump drains a slot, and only
         // poison if the pump makes no progress for the whole stall budget.
+        // A pump that exits wakes the wait too; the send below then reports
+        // why it stopped.
         let stall_deadline = Instant::now() + self.limits.stall_timeout;
-        while sess.queued.load(Ordering::Acquire) >= sess.window {
+        let mut exited = sess.pump_exited.lock().unwrap_or_else(|e| e.into_inner());
+        while !*exited && sess.queued.load(Ordering::Acquire) >= sess.window {
             if let Some(msg) = sess.poison_message() {
                 return Err(format!("session failed: {msg}"));
             }
-            if Instant::now() >= stall_deadline {
+            let now = Instant::now();
+            if now >= stall_deadline {
                 let msg = format!(
                     "session stalled: {} frames buffered against a window of {} and the \
                      analyzer made no progress",
@@ -324,8 +356,13 @@ impl SessionTable {
                 self.poison(&sess, msg.clone());
                 return Err(format!("session failed: {msg}"));
             }
-            std::thread::sleep(self.limits.poll_interval);
+            exited = sess
+                .drained
+                .wait_timeout(exited, stall_deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
+        drop(exited);
         let frame = match FrameBuf::from_rgb24(sess.dims.0, sess.dims.1, data) {
             Ok(frame) => frame,
             Err(e) => {
@@ -342,29 +379,16 @@ impl SessionTable {
             .ok_or_else(|| "session is committing".to_string())?;
         let buffered = sess.queued.fetch_add(1, Ordering::AcqRel) + 1;
         self.buffered_peak.fetch_max(buffered, Ordering::AcqRel);
-        let mut msg = PumpMsg::Frame(frame);
-        loop {
-            match tx.try_send(msg) {
-                Ok(()) => break,
-                Err(TrySendError::Full(back)) => {
-                    if Instant::now() >= stall_deadline {
-                        sess.queued.fetch_sub(1, Ordering::AcqRel);
-                        let text = "session stalled: pump queue saturated".to_string();
-                        self.poison(&sess, text.clone());
-                        return Err(format!("session failed: {text}"));
-                    }
-                    msg = back;
-                    std::thread::sleep(self.limits.poll_interval);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    sess.queued.fetch_sub(1, Ordering::AcqRel);
-                    let text = sess
-                        .poison_message()
-                        .unwrap_or_else(|| "session pump stopped".to_string());
-                    self.poison(&sess, text.clone());
-                    return Err(format!("session failed: {text}"));
-                }
-            }
+        // Only this connection sends frames, and at most `window` are
+        // buffered, so the channel (capacity window+1) has room and the send
+        // does not block; it fails only if the pump has gone.
+        if tx.send(PumpMsg::Frame(frame)).is_err() {
+            sess.queued.fetch_sub(1, Ordering::AcqRel);
+            let text = sess
+                .poison_message()
+                .unwrap_or_else(|| "session pump stopped".to_string());
+            self.poison(&sess, text.clone());
+            return Err(format!("session failed: {text}"));
         }
         sess.next_seq.store(seq + 1, Ordering::Release);
         self.metrics.stream_frame(data.len() as u64);
@@ -500,19 +524,23 @@ fn pump_loop(
     store: ServerStore,
     metrics: Arc<ServerMetrics>,
 ) {
+    let _exit = PumpExit(&sess);
+    // Declared after `_exit`, so the receiver drops first: a worker woken
+    // by the exit signal finds the channel already disconnected.
+    let rx = rx;
     let mut ingest = Some(ingest);
     while let Ok(msg) = rx.recv() {
         match msg {
             PumpMsg::Frame(frame) => {
                 if sess.aborting.load(Ordering::SeqCst) {
-                    sess.queued.fetch_sub(1, Ordering::AcqRel);
+                    sess.release_credit();
                     continue;
                 }
                 let outcome = match ingest.as_mut() {
                     Some(ingest) => ingest.push(&frame),
                     None => break,
                 };
-                sess.queued.fetch_sub(1, Ordering::AcqRel);
+                sess.release_credit();
                 if let Err(e) = outcome {
                     let mut slot = sess.poisoned.lock().unwrap_or_else(|p| p.into_inner());
                     if slot.is_none() {

@@ -1136,3 +1136,103 @@ fn journaled_stream_commit_survives_restart_and_torn_stream_does_not() {
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Analyze `frames` with the in-process streaming analyzer and assert the
+/// committed `video` on the server holds the bit-identical analysis.
+fn assert_matches_local_analysis(
+    handle: &ServerHandle,
+    video: u64,
+    frames: &[vdb_core::frame::FrameBuf],
+) {
+    let mut local =
+        vdb_core::streaming::StreamingAnalyzer::new(vdb_core::analyzer::AnalyzerConfig::default());
+    for frame in frames {
+        local.push(frame).expect("local push");
+    }
+    let expected = local.finish().expect("local finish");
+    let stored = handle
+        .store()
+        .read(|db| db.analysis(video).cloned())
+        .expect("committed video must be queryable");
+    assert_eq!(stored.shots, expected.segmentation.shots, "shots diverged");
+    assert_eq!(stored.features, expected.features, "features diverged");
+    assert_eq!(stored.signs_ba, expected.signs_ba, "BA signs diverged");
+    assert_eq!(stored.signs_oa, expected.signs_oa, "OA signs diverged");
+}
+
+/// A frame held for credit is released by the pump draining a slot, not
+/// by a timer: with a one-frame window most frames find the window full,
+/// yet a 48-frame stream commits inside one
+/// `poll_interval`, and the window is never exceeded.
+#[test]
+fn credit_wait_is_woken_by_the_pump_not_a_timer() {
+    let poll = Duration::from_secs(1);
+    let config = ServerConfig {
+        stream_credits: 1,
+        poll_interval: poll,
+        ..test_config(2)
+    };
+    let handle = Server::bind(ServerStore::memory(), config).unwrap().serve();
+    let clip = stream_clip(21);
+    let frames: Vec<_> = clip.frames().iter().cycle().take(48).cloned().collect();
+    let (width, height) = clip.dims();
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let started = std::time::Instant::now();
+    let mut stream = client
+        .open_stream("one-credit", width, height, clip.fps())
+        .unwrap();
+    assert_eq!(stream.credits(), 1);
+    for frame in &frames {
+        stream.push(frame).unwrap();
+    }
+    let commit = stream.commit().unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(commit.frames, frames.len());
+    // One timer-driven wake-up alone would cost a whole `poll`.
+    assert!(
+        elapsed < poll,
+        "48 frames under a one-frame window took {elapsed:?}"
+    );
+    let stats = handle.stream_stats();
+    assert!(stats.buffered_peak <= 1, "{stats:?}");
+    assert_matches_local_analysis(&handle, commit.video, &frames);
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
+/// A frame whose dimensions are the declared ones transposed has the
+/// right byte count, so only the client can catch it: `push` refuses it
+/// before sending anything, and the session carries on unharmed.
+#[test]
+fn transposed_frame_is_rejected_before_sending() {
+    let handle = start_memory_server(2, 0);
+    let clip = stream_clip(23);
+    let (width, height) = clip.dims();
+    assert_ne!(width, height, "the test needs a non-square clip");
+    let first = &clip.frames()[0];
+    let transposed = vdb_core::frame::FrameBuf::from_fn(height, width, |x, y| first.get(y, x));
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut stream = client
+        .open_stream("transposed", width, height, clip.fps())
+        .unwrap();
+    match stream.push(&transposed) {
+        Err(vdb_server::ClientError::Protocol(e)) => {
+            assert!(e.to_string().contains("dimensions"), "{e}")
+        }
+        other => panic!("a transposed frame must be refused client-side: {other:?}"),
+    }
+    assert_eq!(stream.pushed(), 0, "nothing went out");
+    for frame in clip.frames() {
+        stream.push(frame).unwrap();
+    }
+    let commit = stream.commit().unwrap();
+    assert_eq!(commit.frames, clip.frames().len());
+    assert_matches_local_analysis(&handle, commit.video, clip.frames());
+    let snap = handle.metrics();
+    assert_eq!(snap.stream.session_errors, 0);
+    assert_eq!(snap.protocol_errors, 0);
+    drop(client);
+    handle.shutdown().unwrap();
+}
